@@ -30,8 +30,8 @@ import numpy as np
 from _common import RESULTS_DIR, dump
 from repro.errors import ServerError
 from repro.serve.engine import SpMMEngine
+from repro.serve.aio import AsyncSpMMEngine
 from repro.serve.server import ServerConfig, SpMMClient, SpMMServer
-from repro.serve.sharded import AsyncSpMMEngine
 from repro.sparse.convert import coo_to_csr
 from repro.sparse.random import erdos_renyi
 
@@ -60,7 +60,7 @@ def run_load(seconds: float, n_clients: int = 6) -> dict:
 
     async def serve():
         server = SpMMServer(
-            engine=AsyncSpMMEngine(n_shards=2, capacity=32),
+            engine=AsyncSpMMEngine(capacity=32),
             config=ServerConfig(batch_window=0.005, max_inflight=64),
         )
         box["server"] = server

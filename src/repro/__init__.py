@@ -53,11 +53,9 @@ from repro.serve import (
     CacheStats,
     MatrixFingerprint,
     PlanCache,
-    ShardedSpMMEngine,
     SpMMEngine,
     default_engine,
     fingerprint,
-    install_sharded_default,
     reset_default_engine,
     set_default_engine,
 )
@@ -108,7 +106,6 @@ __all__ = [
     "spmm",
     "spmm_many",
     "SpMMEngine",
-    "ShardedSpMMEngine",
     "AsyncSpMMEngine",
     "PlanCache",
     "PlanStore",
@@ -117,7 +114,6 @@ __all__ = [
     "fingerprint",
     "default_engine",
     "set_default_engine",
-    "install_sharded_default",
     "reset_default_engine",
     "ReproError",
     "ValidationError",

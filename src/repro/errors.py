@@ -57,8 +57,8 @@ class ProtocolError(ReproError):
 class EngineClosedError(ReproError):
     """A serving engine rejected a request because it is draining.
 
-    Raised by :meth:`repro.serve.sharded.AsyncSpMMEngine.multiply` (and
-    friends) once :meth:`~repro.serve.sharded.AsyncSpMMEngine.drain` has
+    Raised by :meth:`repro.serve.aio.AsyncSpMMEngine.multiply` (and
+    friends) once :meth:`~repro.serve.aio.AsyncSpMMEngine.drain` has
     begun: in-flight requests complete, new submissions fail with this —
     the server maps it to a retryable ``shutting_down`` response."""
 

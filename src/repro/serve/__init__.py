@@ -19,17 +19,18 @@ Cross-process reuse (a new worker skips planning entirely)::
     engine.warm_start()                    # mmap persisted plans from disk
     C = engine.spmm(A, B)                  # pure cache hit, no replan
 
-Multi-tenant / async traffic (sharded caches, coalesced misses)::
+Multi-tenant / async traffic (tenant tiers, coalesced misses)::
 
-    engine = AsyncSpMMEngine(n_shards=4, store="/var/cache/accspmm")
+    engine = AsyncSpMMEngine(store="/var/cache/accspmm")
     C = await engine.multiply(A, B, tenant="alice")   # thread-pool exec
 
 See ``docs/SERVING.md`` for cache semantics, the on-disk layout, and the
 corruption-handling guarantees; ``docs/CONCURRENCY.md`` for the
-sharding/coalescing design and thread-safety guarantees; ``python -m
+coalescing design and thread-safety guarantees; ``python -m
 repro.serve.store --help`` for the store maintenance CLI.
 """
 
+from repro.serve.aio import AsyncSpMMEngine
 from repro.serve.cache import CacheStats, PlanCache
 from repro.serve.frames import (
     Frame,
@@ -51,11 +52,6 @@ from repro.serve.fingerprint import (
     MatrixFingerprint,
     config_fingerprint,
     fingerprint,
-)
-from repro.serve.sharded import (
-    AsyncSpMMEngine,
-    ShardedSpMMEngine,
-    install_sharded_default,
 )
 
 #: store and server exports are lazy (PEP 562) so `python -m
@@ -81,10 +77,8 @@ __all__ = [
     "CacheStats",
     "PlanCache",
     "SpMMEngine",
-    "ShardedSpMMEngine",
     "AsyncSpMMEngine",
     "default_engine",
-    "install_sharded_default",
     "plan_build_cost",
     "plan_nbytes",
     "reset_default_engine",

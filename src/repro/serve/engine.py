@@ -115,19 +115,30 @@ class SpMMEngine:
     device, config:
         Defaults applied when a request does not name its own.
 
-    Thread safety: one engine serves concurrent threads.  Cache state is
-    guarded by one internal lock, held only for dict-sized operations —
-    never across a plan build or a multiply; per-key build locks
-    serialise concurrent misses on the *same* content so exactly one
-    thread builds while same-key requests wait and different-key traffic
-    proceeds.  For many cores, shard engines across
-    :class:`~repro.serve.sharded.ShardedSpMMEngine` so unrelated tenants
-    do not share this lock (see ``docs/CONCURRENCY.md``).
+    Tenants: :meth:`spmm`, :meth:`multiply_many` and :meth:`apply_delta`
+    accept an optional ``tenant=`` tag.  Tagged traffic is counted per
+    tenant in ``stats["tenants"]`` and served at the tenant's pinned
+    numerics tier (:meth:`set_tenant_numerics`) when one is set: a
+    request's own ``numerics=`` beats the tenant pin, which beats the
+    engine default.
+
+    Thread safety: one engine serves concurrent threads.  Cache state,
+    tenant counters and tenant pins are guarded by one internal lock,
+    held only for dict-sized operations — never across a plan build or
+    a multiply; per-key build locks serialise concurrent misses on the
+    *same* content so exactly one thread builds while same-key requests
+    wait and different-key traffic proceeds (see
+    ``docs/CONCURRENCY.md``).
     """
 
     #: lock discipline, enforced statically (REP101) and — under
     #: REPRO_LOCK_SANITIZER=1 — dynamically (repro.analysis.runtime)
-    _GUARDED_BY_ = {"cache": "_lock", "_build_locks": "_lock"}
+    _GUARDED_BY_ = {
+        "cache": "_lock",
+        "_build_locks": "_lock",
+        "_tenants": "_lock",
+        "_tenant_numerics": "_lock",
+    }
 
     def __init__(
         self,
@@ -174,6 +185,11 @@ class SpMMEngine:
         self.autotune = bool(autotune)
         #: per-key locks so a slow plan build only blocks same-key requests
         self._build_locks: dict = {}
+        #: tenant -> request counters of tagged traffic
+        self._tenants: dict[str, dict] = {}
+        #: tenant -> NumericsPolicy served when the request itself does
+        #: not pass ``numerics=`` (request override always wins)
+        self._tenant_numerics: dict[str, object] = {}
 
     # ------------------------------------------------------------------
     def get_plan(
@@ -189,8 +205,8 @@ class SpMMEngine:
 
         ``fp`` may carry a precomputed
         :class:`~repro.serve.fingerprint.MatrixFingerprint` of ``A`` so
-        callers that already hashed the matrix — the sharded router, the
-        async facade — do not pay for a second content hash.  It must be
+        callers that already hashed the matrix — the async facade, the
+        server — do not pay for a second content hash.  It must be
         the fingerprint of *this* ``A``; no cross-check is performed.
         """
         csr = coo_to_csr(A) if isinstance(A, COOMatrix) else A
@@ -293,7 +309,7 @@ class SpMMEngine:
         that acts on the answer counts the request exactly once.  Never
         builds, never touches the store: this is the non-blocking fast
         path the async facade probes before deciding to coalesce a
-        resolution (see :class:`~repro.serve.sharded.AsyncSpMMEngine`).
+        resolution (see :class:`~repro.serve.aio.AsyncSpMMEngine`).
         """
         spec = get_device(device) if device is not None else self.default_device
         cfg = config or self.default_config
@@ -308,6 +324,7 @@ class SpMMEngine:
         removed=None,
         device: DeviceSpec | str | None = None,
         config: AccConfig | None = None,
+        tenant=None,
     ):
         """Derive, cache, and persist a plan for a structural edit.
 
@@ -327,10 +344,12 @@ class SpMMEngine:
         back to a full plan write when the chain would grow past the
         store's depth bound.  ``apply_delta`` is pure on the base plan,
         so concurrent deltas on one base need no per-key build lock —
-        last insert wins under the engine lock.
+        last insert wins under the engine lock.  ``tenant`` tags the
+        request in ``stats["tenants"]``.
         """
         from repro.sparse.delta import GraphDelta
 
+        self._note_tenant(tenant, "requests")
         spec = get_device(device) if device is not None else self.default_device
         cfg = config or self.default_config
         if isinstance(added, GraphDelta):
@@ -347,14 +366,9 @@ class SpMMEngine:
         if base is None and self.store is not None:
             base = self.store.get(fp, spec.name, cfg)  # never raises
             if base is not None:
-                # same scrubbing policy as the get_plan store-hit path
-                base.tc_plan.meta.pop("exec_mode", None)
-                base.tc_plan.meta.pop("exec_max_bytes", None)
-                if self.exec_max_bytes is not None:
-                    base.tc_plan.meta["exec_max_bytes"] = self.exec_max_bytes
                 with self._lock:
                     self.cache.stats.store_hits += 1
-                self._adopt(base, fp=fp)
+                self._adopt(base)  # scrubs policy as a store hit does
         if base is None:
             raise ValidationError(
                 "no cached or stored plan for the delta's base fingerprint; "
@@ -439,39 +453,30 @@ class SpMMEngine:
             self.store.entries(), key=lambda e: -e.build_seconds
         )
         cap = self.capacity if limit is None else min(limit, self.capacity)
-        return self._warm_from(self.store, entries, cap)
-
-    def _warm_from(self, store, entries, cap: int) -> int:
-        """Load-and-adopt loop shared with the sharded engine's routed
-        warm start: ``entries`` arrive most-expensive-first, the top
-        ``cap`` are inserted cheapest-first (see :meth:`warm_start`)."""
         loaded = 0
         for entry in reversed(entries[:cap]):
-            plan_obj = store._load(entry.path)
-            if plan_obj is None:
-                continue
-            if self._adopt(plan_obj):
+            plan_obj = self.store._load(entry.path)
+            if plan_obj is not None and self._adopt(plan_obj):
                 loaded += 1
         return loaded
 
-    def _adopt(self, plan_obj: AccPlan, fp=None) -> bool:
-        """Insert a store-loaded plan into the cache (warm-start path).
+    def _adopt(self, plan_obj: AccPlan) -> bool:
+        """Insert a store-loaded plan into the cache (warm-start and
+        delta-base paths).
 
         Applies the same policy scrubbing as a store hit (the writer's
         ``exec_mode``/``exec_max_bytes`` must not leak into this
-        engine), then inserts under the engine lock.  ``fp`` skips the
-        re-fingerprint when the caller (the sharded router) already
-        hashed the matrix; without it the fingerprint is recomputed,
-        which doubles as an integrity check on the mapped arrays.
-        Returns ``False`` when the content is already cached.
+        engine), then inserts under the engine lock.  The fingerprint is
+        recomputed from the loaded arrays, which doubles as an integrity
+        check on the mapped data.  Returns ``False`` when the content is
+        already cached.
         """
         # scrub requester policy, keep the matrix-derived "tuned" verdict
         plan_obj.tc_plan.meta.pop("exec_mode", None)
         plan_obj.tc_plan.meta.pop("exec_max_bytes", None)
         if self.exec_max_bytes is not None:
             plan_obj.tc_plan.meta["exec_max_bytes"] = self.exec_max_bytes
-        if fp is None:
-            fp = fingerprint(plan_obj.csr)
+        fp = fingerprint(plan_obj.csr)
         key = (fp.full, plan_obj.device.name, plan_obj.config)
         structural_key = (
             fp.structural, plan_obj.device.name, plan_obj.config
@@ -492,6 +497,7 @@ class SpMMEngine:
         fp=None,
         numerics=None,
         backend=None,
+        tenant=None,
     ) -> np.ndarray:
         """``C = A @ B`` through the plan cache.
 
@@ -499,22 +505,21 @@ class SpMMEngine:
         answered directly — their product is trivially empty and the
         planner cannot tile them.  ``fp`` optionally carries ``A``'s
         precomputed fingerprint (see :meth:`get_plan`).  ``numerics``
-        overrides the engine's default tier for this request only;
-        ``backend`` likewise overrides the engine's execution arm (see
-        :mod:`repro.backend`)."""
+        overrides the tenant's pinned tier and the engine default for
+        this request only (see :meth:`resolve_numerics`); ``backend``
+        likewise overrides the engine's execution arm (see
+        :mod:`repro.backend`); ``tenant`` tags the request in
+        ``stats["tenants"]``."""
         B = np.asarray(B)  # dtype coercion is AccPlan.multiply's job
         csr = coo_to_csr(A) if isinstance(A, COOMatrix) else A
+        self._note_tenant(tenant, "requests")
         if csr.n_rows == 0 or csr.n_cols == 0:
             if B.ndim != 2 or B.shape[0] != csr.n_cols:
                 raise ValidationError(
                     f"B must be ({csr.n_cols}, N); got {B.shape}"
                 )
             return np.zeros((csr.n_rows, B.shape[1]), dtype=np.float32)
-        policy = (
-            resolve_policy(numerics)
-            if numerics is not None
-            else self.default_numerics
-        )
+        policy = self.resolve_numerics(numerics, tenant)
         p = self.get_plan(
             csr, feature_dim=B.shape[-1], device=device, config=config, fp=fp
         )
@@ -525,8 +530,7 @@ class SpMMEngine:
         # entry enough to matter; steady-state hits skip the re-check
         # (and its O(entries) byte walk under the engine lock)
         if not was_prepared:
-            with self._lock:
-                self.cache.enforce_limits()
+            self.enforce_limits()
         return C
 
     def multiply_many(
@@ -538,20 +542,21 @@ class SpMMEngine:
         fp=None,
         numerics=None,
         backend=None,
+        tenant=None,
     ) -> np.ndarray:
         """Batched ``C[i] = A @ Bs[i]`` through the plan cache.
 
         ``Bs`` is a ``(batch, n_cols, N)`` array or a sequence of 2-D
         matrices; the cached plan's tiles are decompressed once for the
-        whole batch (one device upload on the cupy arm).  ``fp``
-        optionally carries ``A``'s precomputed fingerprint (see
-        :meth:`get_plan`); ``numerics`` overrides the engine's default
-        tier for this request only; ``backend`` likewise overrides the
-        engine's execution arm.
+        whole batch (one device upload on the cupy arm).  ``fp``,
+        ``numerics``, ``backend`` and ``tenant`` behave as in
+        :meth:`spmm`; a tagged request also counts as one of the
+        tenant's ``batched_requests``.
         """
         if not isinstance(Bs, np.ndarray):
             Bs = np.stack([np.asarray(b) for b in Bs])
         csr = coo_to_csr(A) if isinstance(A, COOMatrix) else A
+        self._note_tenant(tenant, "requests", "batched_requests")
         if csr.n_rows == 0 or csr.n_cols == 0:
             if Bs.ndim != 3 or Bs.shape[1] != csr.n_cols:
                 raise ValidationError(
@@ -560,11 +565,7 @@ class SpMMEngine:
             return np.zeros(
                 (Bs.shape[0], csr.n_rows, Bs.shape[2]), dtype=np.float32
             )
-        policy = (
-            resolve_policy(numerics)
-            if numerics is not None
-            else self.default_numerics
-        )
+        policy = self.resolve_numerics(numerics, tenant)
         p = self.get_plan(
             csr, feature_dim=Bs.shape[-1], device=device, config=config, fp=fp
         )
@@ -572,8 +573,7 @@ class SpMMEngine:
         was_prepared = self._is_prepared(p, Bs.shape[-1], policy)
         Cs = p.multiply_many(Bs, numerics=policy, backend=eff_backend)
         if not was_prepared:
-            with self._lock:
-                self.cache.enforce_limits()
+            self.enforce_limits()
         return Cs
 
     @staticmethod
@@ -583,6 +583,54 @@ class SpMMEngine:
         chunk program for this N-class cached)."""
         ex = p.executor_for(numerics)
         return ex is not None and ex.is_prepared_for(feature_dim)
+
+    # ------------------------------------------------------------------
+    # tenants
+    # ------------------------------------------------------------------
+    def _note_tenant(self, tenant, *fields: str) -> None:
+        if tenant is None:
+            return
+        with self._lock:
+            t = self._tenants.setdefault(
+                str(tenant), {"requests": 0, "batched_requests": 0}
+            )
+            for field in fields:
+                t[field] += 1
+
+    def set_tenant_numerics(self, tenant, numerics) -> None:
+        """Pin (or clear) a tenant's default numerics tier.
+
+        ``numerics`` is a tier name or
+        :class:`~repro.tune.NumericsPolicy`; ``None`` clears the pin so
+        the tenant falls back to the engine default.  The tier applies
+        to every subsequent tagged request that does not carry its own
+        ``numerics=`` override."""
+        if tenant is None:
+            raise ValueError("tenant must not be None")
+        if numerics is None:
+            with self._lock:
+                self._tenant_numerics.pop(str(tenant), None)
+            return
+        policy = resolve_policy(numerics)  # validate outside the lock
+        with self._lock:
+            self._tenant_numerics[str(tenant)] = policy
+
+    def tenant_numerics_for(self, tenant):
+        """The tenant's pinned :class:`~repro.tune.NumericsPolicy`, or
+        ``None`` when unpinned (engine default applies)."""
+        if tenant is None:
+            return None
+        with self._lock:
+            return self._tenant_numerics.get(str(tenant))
+
+    def resolve_numerics(self, numerics=None, tenant=None):
+        """The effective :class:`~repro.tune.NumericsPolicy` for a
+        request: request override > tenant pin > engine default."""
+        if numerics is None:
+            numerics = self.tenant_numerics_for(tenant)
+        if numerics is None:
+            return self.default_numerics
+        return resolve_policy(numerics)
 
     # ------------------------------------------------------------------
     @property
@@ -607,6 +655,9 @@ class SpMMEngine:
         A ``"backend"`` sub-dict names the execution arm serving this
         engine's default traffic; on the cupy arm it includes transfer
         counts and resident ``device_bytes`` (see ``docs/GPU.md``).
+        ``"tenants"`` maps each tagged tenant to its ``requests`` and
+        ``batched_requests`` counters and, when pinned, its
+        ``numerics`` tier.
 
         One consistent snapshot: counters, occupancy and configuration
         are all read under a single hold of the engine lock, so the
@@ -621,6 +672,9 @@ class SpMMEngine:
             capacity = self.cache.capacity
             max_bytes = self.cache.max_bytes
             policy = self.cache.policy
+            tenants = {t: dict(c) for t, c in self._tenants.items()}
+            for t, pol in self._tenant_numerics.items():
+                tenants.setdefault(t, {})["numerics"] = pol.tier
         # exec_cache is a mode-keyed dict: count plans with at least one
         # compiled executor, sum prep accounting over every mode
         per_plan = [
@@ -650,14 +704,25 @@ class SpMMEngine:
         out["backend"] = resolve_backend(self.backend).info()
         if self.store is not None:
             out["store"] = self.store.counters()
+        out["tenants"] = tenants
         return out
 
+    def enforce_limits(self) -> None:
+        """Run the cache's TTL/byte/capacity enforcement now (ops
+        cadence hook: steady all-hit traffic never inserts, so idle
+        entries otherwise outlive ``max_idle_seconds`` until the next
+        insert)."""
+        with self._lock:
+            self.cache.enforce_limits()
+
     def clear(self) -> None:
-        """Drop every cached plan and reset the counters."""
+        """Drop every cached plan and reset the counters (tenant
+        numerics pins stay)."""
         with self._lock:
             self.cache.clear()
             self.cache.reset_stats()
             self._build_locks.clear()
+            self._tenants.clear()
 
 
 # ----------------------------------------------------------------------
@@ -675,11 +740,9 @@ def default_engine():
     prepared executor, so the cache is capped at 256 MB of measured plan
     bytes — which lets the slot count be generous for small-matrix
     traffic.  Traffic that wants a bigger working set should build its
-    own :class:`SpMMEngine`; one-off multiplications should pass
-    ``use_cache=False``; multi-tenant threaded traffic can opt the
-    process into a sharded default via :func:`set_default_engine` (e.g.
-    ``set_default_engine(ShardedSpMMEngine(n_shards=4))``, or the
-    :func:`repro.serve.sharded.install_sharded_default` shorthand).
+    own :class:`SpMMEngine` (and may install it process-wide via
+    :func:`set_default_engine`); one-off multiplications should pass
+    ``use_cache=False``.
     """
     global _default_engine
     with _default_lock:
@@ -690,9 +753,8 @@ def default_engine():
 
 def set_default_engine(engine) -> None:
     """Install ``engine`` as the process-wide default behind
-    :func:`repro.spmm` (opt-in; e.g. a
-    :class:`~repro.serve.sharded.ShardedSpMMEngine` for multi-tenant
-    threaded traffic).  Any object with the engine interface
+    :func:`repro.spmm` (opt-in; e.g. a store-backed or larger
+    :class:`SpMMEngine`).  Any object with the engine interface
     (``spmm``/``multiply_many``/``stats``/``clear``) works.  Plans
     cached by the previous default are dropped with it."""
     global _default_engine

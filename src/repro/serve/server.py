@@ -2,7 +2,7 @@
 
 Until this module, the warm engine was Python-import-only — every
 consumer had to live in the serving process.  :class:`SpMMServer` puts
-an :class:`~repro.serve.sharded.AsyncSpMMEngine` behind a TCP listener
+an :class:`~repro.serve.aio.AsyncSpMMEngine` behind a TCP listener
 speaking the length-prefixed binary frames of
 :mod:`repro.serve.frames`, with the traffic management a shared
 data-plane needs:
@@ -24,7 +24,7 @@ data-plane needs:
   requests for one matrix (same fingerprint, device, resolved numerics
   tier, execution backend, and operand shape) arriving within
   ``batch_window`` seconds
-  coalesce into one :meth:`~repro.serve.sharded.AsyncSpMMEngine.
+  coalesce into one :meth:`~repro.serve.aio.AsyncSpMMEngine.
   multiply_many` — PR 4's miss coalescing generalized to the data
   plane: the per-matrix preparation cost is amortized not just across
   requests over time but across requests *in flight*.  Results are
@@ -70,6 +70,7 @@ from repro.errors import (
     ServerError,
     ValidationError,
 )
+from repro.serve.aio import AsyncSpMMEngine
 from repro.serve.frames import (
     DEFAULT_MAX_BODY_BYTES,
     encode_frame,
@@ -78,7 +79,7 @@ from repro.serve.frames import (
     write_frame,
 )
 from repro.serve.fingerprint import MatrixFingerprint
-from repro.serve.sharded import AsyncSpMMEngine
+from repro.serve.store import PlanStore
 from repro.sparse.convert import coo_to_csr
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
@@ -251,16 +252,16 @@ class _Batch:
 
 @audit_guarded
 class SpMMServer:
-    """An asyncio TCP front over an :class:`~repro.serve.sharded.
+    """An asyncio TCP front over an :class:`~repro.serve.aio.
     AsyncSpMMEngine`.
 
     Construct with a ready ``engine`` or with
-    :class:`~repro.serve.sharded.AsyncSpMMEngine` keyword arguments
-    (``n_shards=``, ``store=``, ...); ``config`` is a
+    :class:`~repro.serve.aio.AsyncSpMMEngine` keyword arguments
+    (``capacity=``, ``store=``, ...); ``config`` is a
     :class:`ServerConfig`.  ``clock`` is the monotonic clock behind the
     quota buckets (injectable for deterministic tests).  Lifecycle::
 
-        server = SpMMServer(n_shards=4, store="/var/cache/accspmm")
+        server = SpMMServer(store="/var/cache/accspmm")
         host, port = await server.start()
         ...
         await server.stop()        # stops accepting, drains the engine
@@ -760,6 +761,9 @@ class SpMMServer:
             out = dict(self._counters)
             out["inflight"] = self._inflight_count
             out["pending_batches"] = len(self._batches)
+            out["pending_batch_requests"] = sum(
+                len(b.items) for b in self._batches.values()
+            )
             out["tenants"] = {t: dict(c) for t, c in self._tenants.items()}
         return out
 
@@ -958,7 +962,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--shards", type=int, default=4,
-        help="plan-cache shards (ShardedSpMMEngine n_shards)",
+        help="directory fan-out of the --store tree (PlanStore shards)",
     )
     parser.add_argument(
         "--store", default=None,
@@ -985,11 +989,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 async def _amain(args) -> int:
+    store = (
+        None if args.store is None
+        else PlanStore(args.store, shards=args.shards)
+    )
     engine = AsyncSpMMEngine(
-        n_shards=args.shards,
-        capacity=args.capacity,
-        store=args.store,
-        numerics=args.numerics,
+        capacity=args.capacity, store=store, numerics=args.numerics
     )
     config = ServerConfig(
         host=args.host,

@@ -55,7 +55,7 @@ from repro.kernels.dtc import DTCKernel
 from repro.kernels.executor import get_executor
 from repro.kernels.tcgnn import TCGNNKernel
 from repro.kernels.tc_common import execute_tiled_reference
-from repro.serve.sharded import AsyncSpMMEngine, ShardedSpMMEngine
+from repro.serve.aio import AsyncSpMMEngine
 from repro.sparse.convert import coo_to_csr
 from repro.sparse.coo import COOMatrix
 from repro.tune.space import TunedConfig
@@ -641,25 +641,13 @@ class TestServing:
         with pytest.raises(ValidationError, match="backend"):
             engine.spmm(csr, make_b(csr, n=8), backend="tpu")
 
-    def test_sharded_engine_threads_backend(self, fake):
-        csr = random_csr(n_rows=96, n_cols=96, density=0.1, seed=55)
-        B = make_b(csr, n=16, seed=56)
-        engine = ShardedSpMMEngine(n_shards=2, capacity=4, backend="cupy")
-        C = engine.spmm(csr, B)
-        assert fake.counters["downloads"] >= 1
-        ref_engine = ShardedSpMMEngine(n_shards=2, capacity=4)
-        assert bits_equal(C, ref_engine.spmm(csr, B))
-        stats = engine.stats
-        assert stats["backend"]["name"] == "cupy"
-        assert all("backend" not in s for s in stats["per_shard"])
-
     def test_async_engine_backend_override(self, fake):
         csr = random_csr(n_rows=96, n_cols=96, density=0.1, seed=57)
         B = make_b(csr, n=16, seed=58)
         Bs = np.stack([B, make_b(csr, n=16, seed=59)])
 
         async def run():
-            engine = AsyncSpMMEngine(n_shards=2, capacity=4)
+            engine = AsyncSpMMEngine(capacity=4)
             try:
                 C = await engine.multiply(csr, B, backend="cupy")
                 Cs = await engine.multiply_many(csr, Bs, backend="cupy")

@@ -1,17 +1,20 @@
-"""Sharded/async engines, TTL eviction, store sharding, version compat.
+"""Concurrent/async engines, tenants, TTL eviction, store sharding,
+version compat.
 
-The PR-4 acceptance criteria: requests routed across shards return
-bit-for-bit the unsharded engine's results, M simultaneous misses on one
-matrix build exactly one plan (threaded and async, asserted via stats),
-``max_idle_seconds`` expires idle entries in both the in-memory cache
-and the on-disk store — never one used since the cutoff — and
-v1-format containers still load after the v2 container-version bump.
+Acceptance criteria: M simultaneous misses on one matrix build exactly
+one plan (threaded and async, asserted via stats), tagged traffic is
+counted per tenant, ``max_idle_seconds`` expires idle entries in both
+the in-memory cache and the on-disk store — never one used since the
+cutoff — warm start from a directory-sharded store serves with
+``plans_built == 0``, and v1-format containers still load after the v2
+container-version bump.
 """
 
 from __future__ import annotations
 
 import asyncio
 import struct
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -22,11 +25,9 @@ import repro
 from repro.errors import EngineClosedError, StoreVersionError
 from repro.serve import (
     AsyncSpMMEngine,
-    ShardedSpMMEngine,
     SpMMEngine,
     default_engine,
     fingerprint,
-    install_sharded_default,
     reset_default_engine,
     set_default_engine,
 )
@@ -64,70 +65,11 @@ def patched_version(data: bytes, version: int) -> bytes:
 
 
 # ----------------------------------------------------------------------
-# routing and equivalence
+# tenants and the count-free probe
 # ----------------------------------------------------------------------
-class TestShardedRouting:
-    def test_routing_is_deterministic_and_structural(self):
-        eng = ShardedSpMMEngine(n_shards=4)
-        a = make_csr(seed=1)
-        fp = fingerprint(a)
-        assert eng.shard_index(fp) == eng.shard_index(fp)
-        # a value-only change routes to the same shard (repack path)
-        fp2 = fingerprint(with_values(a, a.vals * 3.0))
-        assert eng.shard_index(fp2) == eng.shard_index(fp)
-
-    def test_matrices_spread_across_shards(self):
-        eng = ShardedSpMMEngine(n_shards=4)
-        used = {
-            eng.shard_index(fingerprint(make_csr(seed=s))) for s in range(16)
-        }
-        assert len(used) >= 2  # hash routing actually spreads
-
-    def test_bit_for_bit_vs_unsharded(self):
-        single = SpMMEngine()
-        sharded = ShardedSpMMEngine(n_shards=4)
-        for seed in range(6):
-            A = make_csr(seed=seed)
-            B = make_b(A, seed=seed)
-            assert np.array_equal(single.spmm(A, B), sharded.spmm(A, B))
-        s = sharded.stats
-        assert s["plans_built"] == 6
-        assert s["cached_plans"] == 6
-        assert len(s["per_shard"]) == 4
-        assert sum(p["plans_built"] for p in s["per_shard"]) == 6
-
-    def test_value_refresh_served_by_owning_shard(self):
-        eng = ShardedSpMMEngine(n_shards=4)
-        A = make_csr(seed=2)
-        B = make_b(A)
-        eng.spmm(A, B)
-        A2 = with_values(A, A.vals * 2.0)
-        C = eng.spmm(A2, B)
-        s = eng.stats
-        assert s["value_refreshes"] == 1 and s["plans_built"] == 1
-        assert np.array_equal(C, SpMMEngine().spmm(A2, B))
-
-    def test_multiply_many_routed(self):
-        eng = ShardedSpMMEngine(n_shards=3)
-        A = make_csr(seed=3)
-        Bs = np.stack([make_b(A, seed=s) for s in range(3)])
-        Cs = eng.multiply_many(A, Bs)
-        ref = SpMMEngine()
-        for i in range(3):
-            assert np.array_equal(Cs[i], ref.spmm(A, Bs[i]))
-
-    def test_zero_dim_operands(self):
-        eng = ShardedSpMMEngine(n_shards=2)
-        empty = CSRMatrix(
-            0, 8, np.zeros(1, np.int64), np.zeros(0, np.int64),
-            np.zeros(0, np.float32),
-        )
-        C = eng.spmm(empty, np.zeros((8, 4), dtype=np.float32))
-        assert C.shape == (0, 4)
-        assert eng.stats["plans_built"] == 0
-
+class TestTenants:
     def test_tenant_stats(self):
-        eng = ShardedSpMMEngine(n_shards=2)
+        eng = SpMMEngine()
         A = make_csr(seed=4)
         B = make_b(A)
         eng.spmm(A, B, tenant="alice")
@@ -138,13 +80,11 @@ class TestShardedRouting:
         assert t["alice"] == {"requests": 2, "batched_requests": 0}
         assert t["bob"] == {"requests": 1, "batched_requests": 1}
         assert len(t) == 2
-
-    def test_n_shards_validated(self):
-        with pytest.raises(ValueError):
-            ShardedSpMMEngine(n_shards=0)
+        eng.clear()
+        assert eng.stats["tenants"] == {}
 
     def test_lookup_is_count_free(self):
-        eng = ShardedSpMMEngine(n_shards=2)
+        eng = SpMMEngine()
         A = make_csr(seed=5)
         fp = fingerprint(A)
         assert eng.lookup(fp) is None
@@ -184,23 +124,18 @@ class TestConcurrentAccess:
     def _stress(self, eng, matrices):
         run_stress(eng, matrices, self.N_THREADS)
 
-    def test_exactly_one_build_under_simultaneous_misses_sharded(self):
-        eng = ShardedSpMMEngine(n_shards=4)
+    def test_exactly_one_build_under_simultaneous_misses(self):
+        eng = SpMMEngine()
         self._stress(eng, [make_csr(seed=7)])
         s = eng.stats
         assert s["plans_built"] == 1  # 16 threads, one matrix, one build
         assert s["requests"] == self.N_THREADS
 
     def test_exactly_one_build_per_matrix_mixed_workload(self):
-        eng = ShardedSpMMEngine(n_shards=4)
+        eng = SpMMEngine()
         matrices = [make_csr(seed=s) for s in range(4)]
         self._stress(eng, matrices)
         assert eng.stats["plans_built"] == len(matrices)
-
-    def test_single_engine_also_coalesces_threaded_misses(self):
-        eng = SpMMEngine()
-        self._stress(eng, [make_csr(seed=8)])
-        assert eng.stats["plans_built"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -229,25 +164,46 @@ class TestSanitizedStress:
         rt.disable()
         rt.reset()
 
-    def test_sharded_stress_is_violation_free(self, sanitizer):
-        eng = ShardedSpMMEngine(n_shards=4)
+    def test_engine_stress_is_violation_free(self, sanitizer):
+        eng = SpMMEngine()
         run_stress(eng, [make_csr(seed=s) for s in range(3)], self.N_THREADS)
         _ = eng.stats  # the historically-racy snapshot path
         assert eng.stats["plans_built"] == 3
         assert sanitizer.violations() == []
 
-    def test_single_engine_stress_is_violation_free(self, sanitizer):
+    def test_tenant_traffic_is_violation_free(self, sanitizer):
         eng = SpMMEngine()
-        run_stress(eng, [make_csr(seed=31)], self.N_THREADS)
-        _ = eng.stats
+        eng.set_tenant_numerics("t1", "fast")
+        A = make_csr(seed=31)
+        B = make_b(A)
+        per_thread = 8
+
+        def worker(tid):
+            for _ in range(per_thread):
+                eng.spmm(A, B, tenant=f"t{tid % 2}")
+                eng.tenant_numerics_for(f"t{tid % 2}")
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # provoke lost counter updates
+        try:
+            with ThreadPoolExecutor(self.N_THREADS) as pool:
+                list(pool.map(worker, range(self.N_THREADS)))
+        finally:
+            sys.setswitchinterval(old)
+        t = eng.stats["tenants"]
+        assert t["t0"]["requests"] == t["t1"]["requests"] == (
+            self.N_THREADS // 2 * per_thread
+        )
+        assert t["t1"]["numerics"] == "fast"
         assert sanitizer.violations() == []
 
-    def test_store_backed_sharded_stress_is_violation_free(
+    def test_store_backed_stress_is_violation_free(
         self, sanitizer, tmp_path
     ):
-        eng = ShardedSpMMEngine(n_shards=2, store=tmp_path / "plans")
+        store = PlanStore(tmp_path / "plans", shards=2)
+        eng = SpMMEngine(store=store)
         run_stress(eng, [make_csr(seed=41)], self.N_THREADS)
-        warm = ShardedSpMMEngine(n_shards=2, store=tmp_path / "plans")
+        warm = SpMMEngine(store=PlanStore(tmp_path / "plans", shards=2))
         assert warm.warm_start() == 1
         _ = warm.stats
         assert sanitizer.violations() == []
@@ -257,7 +213,7 @@ class TestSanitizedStress:
         B = make_b(A)
 
         async def main():
-            async with AsyncSpMMEngine(n_shards=2) as eng:
+            async with AsyncSpMMEngine() as eng:
                 await asyncio.gather(
                     *[eng.multiply(A, B, tenant=f"t{i % 2}") for i in range(8)]
                 )
@@ -280,7 +236,7 @@ class TestAsyncEngine:
         release = threading.Event()
 
         async def main():
-            async with AsyncSpMMEngine(n_shards=4) as eng:
+            async with AsyncSpMMEngine() as eng:
                 fp = await eng.compute_fingerprint(A)
                 inner = eng.engine.get_plan
 
@@ -326,7 +282,7 @@ class TestAsyncEngine:
         ref = SpMMEngine()
 
         async def main():
-            async with AsyncSpMMEngine(n_shards=2) as eng:
+            async with AsyncSpMMEngine() as eng:
                 Cs = await eng.multiply_many(A, Bs)
                 C0 = await eng.multiply(A, Bs[0])  # warm: no coalescing
                 return Cs, C0, eng.stats
@@ -353,14 +309,14 @@ class TestAsyncEngine:
 
     def test_engine_and_kwargs_conflict(self):
         with pytest.raises(TypeError):
-            AsyncSpMMEngine(engine=SpMMEngine(), n_shards=4)
+            AsyncSpMMEngine(engine=SpMMEngine(), capacity=4)
 
     def test_async_hit_counts_exactly_once_per_request(self):
         A = make_csr(seed=15)
         B = make_b(A)
 
         async def main():
-            async with AsyncSpMMEngine(n_shards=2) as eng:
+            async with AsyncSpMMEngine() as eng:
                 for _ in range(3):
                     await eng.multiply(A, B)
                 return eng.stats
@@ -378,7 +334,7 @@ class TestAsyncEngine:
         ref = SpMMEngine().spmm(A, B)
 
         async def main():
-            async with AsyncSpMMEngine(n_shards=2) as eng:
+            async with AsyncSpMMEngine() as eng:
                 impatient = asyncio.create_task(
                     asyncio.wait_for(eng.multiply(A, B), timeout=1e-4)
                 )
@@ -405,7 +361,7 @@ class TestAsyncEngine:
         )
 
         async def main():
-            async with AsyncSpMMEngine(n_shards=2) as eng:
+            async with AsyncSpMMEngine() as eng:
                 return await eng.multiply(
                     empty, np.zeros((8, 4), dtype=np.float32)
                 )
@@ -471,11 +427,12 @@ class TestCacheTTL:
         eng.spmm(A, make_b(A))
         assert eng.stats["plans_built"] == 3
 
-    def test_sharded_enforce_limits_sweeps_all_shards(self):
-        eng = ShardedSpMMEngine(n_shards=4, max_idle_seconds=30.0)
+    def test_enforce_limits_expires_idle_entries(self):
+        # the ops cadence hook: all-hit traffic never inserts, so only
+        # an explicit sweep expires what went idle
+        eng = SpMMEngine(max_idle_seconds=30.0)
         t = [0.0]
-        for sh in eng.shards:
-            sh.cache.clock = lambda: t[0]
+        eng.cache.clock = lambda: t[0]
         mats = [make_csr(seed=s) for s in range(4)]
         for A in mats:
             eng.spmm(A, make_b(A))
@@ -649,61 +606,47 @@ class TestStoreSharding:
         assert store.stats.quarantined == 1
         assert (store.quarantine_dir / path.name).is_file()
 
-    def test_sharded_engine_store_from_path(self, tmp_path):
-        eng = ShardedSpMMEngine(n_shards=4, store=tmp_path)
-        assert eng.store.shards == 4
+    def test_engine_warm_starts_from_sharded_tree(self, tmp_path):
+        eng = SpMMEngine(store=PlanStore(tmp_path, shards=4))
         A = make_csr(seed=5)
         B = make_b(A)
         C0 = eng.spmm(A, B)
-        # a second fleet warm-starts from the shared sharded tree
-        eng2 = ShardedSpMMEngine(n_shards=4, store=tmp_path)
+        # a second worker warm-starts from the shared sharded tree
+        eng2 = SpMMEngine(store=PlanStore(tmp_path, shards=4))
         assert eng2.warm_start() == 1
         assert np.array_equal(C0, eng2.spmm(A, B))
         s = eng2.stats
         assert s["plans_built"] == 0 and s["hits"] == 1
-        # the warmed plan sits on the shard live routing consults
-        idx = eng2.shard_index(fingerprint(A))
-        assert eng2.stats["per_shard"][idx]["cached_plans"] == 1
 
-    def test_warm_start_respects_per_shard_capacity(self, tmp_path):
-        # 3 persisted plans all route to the single shard, whose
-        # capacity is 1: exactly one plan may be deserialised — loading
-        # the others just to evict them is the waste warm_start avoids
+    def test_engine_store_from_path_is_flat(self, tmp_path):
+        eng = SpMMEngine(store=tmp_path)
+        assert eng.store.shards is None
+
+    def test_warm_start_respects_capacity(self, tmp_path):
+        # 3 persisted plans, capacity 1: exactly one plan may be
+        # deserialised — loading the others just to evict them is the
+        # waste warm_start avoids
         store = PlanStore(tmp_path)
         for seed in range(3):
             A = make_csr(seed=seed)
             p = repro.plan(A, feature_dim=16)
             assert store.put(fingerprint(A), p.device.name, p.config, p)
-        eng = ShardedSpMMEngine(n_shards=1, capacity=1, store=tmp_path)
+        eng = SpMMEngine(capacity=1, store=tmp_path)
         assert eng.warm_start() == 1
         assert eng.stats["cached_plans"] == 1
         assert eng.stats["evictions"] == 0
 
-    def test_warm_start_limit_spends_on_priciest_plans_globally(
-        self, tmp_path
-    ):
-        # matrices on two different shards; the expensive plan sits on
-        # the *higher* shard index, so index-order allocation would
-        # burn the limit on the cheap one first
-        probe = ShardedSpMMEngine(n_shards=2)
-        by_shard = {}
-        for seed in range(32):
-            A = make_csr(seed=seed)
-            by_shard.setdefault(probe.shard_index(fingerprint(A)), A)
-            if len(by_shard) == 2:
-                break
-        assert len(by_shard) == 2
+    def test_warm_start_limit_spends_on_priciest_plans(self, tmp_path):
+        cheap, pricey = make_csr(seed=6), make_csr(seed=7)
         store = PlanStore(tmp_path)
-        costs = {0: 0.001, 1: 100.0}  # shard 1 holds the expensive plan
-        for idx, A in by_shard.items():
+        for A, cost in ((cheap, 0.001), (pricey, 100.0)):
             p = repro.plan(A, feature_dim=16)
-            p.build_seconds = costs[idx]
+            p.build_seconds = cost
             assert store.put(fingerprint(A), p.device.name, p.config, p)
-        eng = ShardedSpMMEngine(n_shards=2, store=tmp_path)
+        eng = SpMMEngine(store=tmp_path)
         assert eng.warm_start(limit=1) == 1
-        fp_pricey = fingerprint(by_shard[1])
-        assert eng.lookup(fp_pricey) is not None
-        assert eng.lookup(fingerprint(by_shard[0])) is None
+        assert eng.lookup(fingerprint(pricey)) is not None
+        assert eng.lookup(fingerprint(cheap)) is None
 
     def test_shards_validated(self, tmp_path):
         with pytest.raises(ValueError):
@@ -789,12 +732,13 @@ class TestVersionCompat:
 # ----------------------------------------------------------------------
 # the process-wide default engine opt-in
 # ----------------------------------------------------------------------
-class TestShardedDefault:
+class TestDefaultEngine:
     def teardown_method(self):
         reset_default_engine()
 
-    def test_install_sharded_default_routes_repro_spmm(self):
-        eng = install_sharded_default(n_shards=4)
+    def test_set_default_engine_routes_repro_spmm(self):
+        eng = SpMMEngine(capacity=4)
+        set_default_engine(eng)
         assert default_engine() is eng
         A = make_csr(seed=30)
         B = make_b(A)
@@ -804,14 +748,11 @@ class TestShardedDefault:
         repro.spmm(A, B)
         assert eng.stats["hits"] == 1
 
-    def test_set_default_engine_generic(self):
-        eng = ShardedSpMMEngine(n_shards=2)
-        set_default_engine(eng)
-        assert default_engine() is eng
-
     def test_reset_restores_standard_default(self):
-        install_sharded_default(n_shards=2)
+        custom = SpMMEngine(capacity=4)
+        set_default_engine(custom)
         reset_default_engine()
+        assert default_engine() is not custom
         assert isinstance(default_engine(), SpMMEngine)
 
 

@@ -10,7 +10,7 @@ The :mod:`repro.tune.policy` contract under test:
   row nnz) — see ``docs/NUMERICS.md``;
 * the tier threads end-to-end: ``repro.spmm`` -> engine -> plan ->
   executor, with per-tenant pins and per-request overrides layering in
-  the sharded/async engines.
+  the sync and async engines.
 """
 
 from __future__ import annotations
@@ -23,8 +23,9 @@ import pytest
 import repro
 from repro.errors import ValidationError
 from repro.kernels.tc_common import execute_tiled_reference
-from repro.serve.sharded import AsyncSpMMEngine, ShardedSpMMEngine
+from repro.serve import AsyncSpMMEngine, SpMMEngine
 from repro.sparse.convert import coo_to_csr
+from repro.sparse.csr import CSRMatrix
 from repro.sparse.random import erdos_renyi
 from repro.tune.policy import (
     EXACT,
@@ -92,10 +93,14 @@ class TestPolicy:
 def assert_within_bound(csr, B, tier):
     p = repro.plan(csr, feature_dim=B.shape[1])
     C = p.multiply(B, numerics=tier)
-    A64 = csr.to_dense().astype(np.float64)
+    # the float64 oracle stays sparse: densifying a dataset twin (rCA is
+    # 30801 x 30801, 7.6 GB as float64) would exhaust a modest host
     B64 = B.astype(np.float64)
-    C64 = A64 @ B64
-    envelope = np.abs(A64) @ np.abs(B64)
+    C64 = csr.matmat(B64)
+    abs_a = CSRMatrix(
+        csr.n_rows, csr.n_cols, csr.indptr, csr.indices, np.abs(csr.vals)
+    )
+    envelope = abs_a.matmat(np.abs(B64))
     bound = resolve_policy(tier).error_bound(max_row_nnz(csr))
     err = np.abs(C.astype(np.float64) - C64)
     assert np.all(err <= bound * envelope + 1e-30), (
@@ -251,11 +256,11 @@ class TestEngineNumerics:
             repro.reset_default_engine()
 
 
-class TestShardedTenantNumerics:
+class TestTenantNumerics:
     def test_tenant_pin_and_precedence(self):
         csr = coo_to_csr(erdos_renyi(256, avg_degree=8.0, seed=22))
         B = make_b(csr, n=32, seed=23)
-        eng = ShardedSpMMEngine(n_shards=2)
+        eng = SpMMEngine()
         eng.set_tenant_numerics("alice", "fast")
         assert eng.tenant_numerics_for("alice").tier == "fast"
         assert eng.tenant_numerics_for("bob") is None
@@ -270,9 +275,19 @@ class TestShardedTenantNumerics:
         C_exact = eng.spmm(csr, B, tenant="alice", numerics="exact")
         assert bits_equal(C_exact, ref)
         assert np.allclose(C_alice, C_exact, rtol=1e-2, atol=1e-2)
+        assert eng.resolve_numerics(tenant="alice").tier == "fast"
+        assert eng.resolve_numerics("tf32", tenant="alice").tier == "tf32"
+        assert eng.resolve_numerics(tenant="bob").tier == "exact"
+
+    def test_tenant_pin_beats_engine_default(self):
+        eng = SpMMEngine(numerics="tf32")
+        eng.set_tenant_numerics("alice", "fast")
+        assert eng.resolve_numerics(tenant="alice").tier == "fast"
+        assert eng.resolve_numerics(tenant="bob").tier == "tf32"
+        assert eng.resolve_numerics("exact", tenant="alice").tier == "exact"
 
     def test_pin_clears_and_validates(self):
-        eng = ShardedSpMMEngine(n_shards=2)
+        eng = SpMMEngine()
         with pytest.raises(ValidationError):
             eng.set_tenant_numerics("alice", "bogus")
         with pytest.raises(ValueError):
@@ -282,16 +297,9 @@ class TestShardedTenantNumerics:
         assert eng.tenant_numerics_for("alice") is None
 
     def test_stats_show_pinned_tier(self):
-        eng = ShardedSpMMEngine(n_shards=2)
+        eng = SpMMEngine()
         eng.set_tenant_numerics("alice", "fast")
         assert eng.stats["tenants"]["alice"]["numerics"] == "fast"
-
-    def test_fleet_default_forwarded_to_shards(self):
-        eng = ShardedSpMMEngine(n_shards=2, numerics="tf32")
-        assert all(
-            sh.default_numerics.tier == "tf32" for sh in eng.shards
-        )
-        assert eng.default_numerics.tier == "tf32"
 
 
 class TestAsyncNumerics:
@@ -300,16 +308,26 @@ class TestAsyncNumerics:
         B = make_b(csr, n=32, seed=25)
 
         async def scenario():
-            async with AsyncSpMMEngine(n_shards=2) as eng:
+            async with AsyncSpMMEngine() as eng:
                 eng.engine.set_tenant_numerics("alice", "fast")
                 c_fast = await eng.multiply(csr, B, numerics="fast")
                 c_alice = await eng.multiply(csr, B, tenant="alice")
+                c_alice_exact = await eng.multiply(
+                    csr, B, tenant="alice", numerics="exact"
+                )
                 c_default = await eng.multiply(csr, B)
+                assert eng.resolve_numerics(tenant="alice").tier == "fast"
                 p = eng.engine.get_plan(csr, feature_dim=B.shape[1])
-                return c_fast, c_alice, c_default, p
+                outs = (c_fast, c_alice, c_alice_exact, c_default)
+                return outs, p, eng.stats
 
-        c_fast, c_alice, c_default, p = asyncio.run(scenario())
+        outs, p, stats = asyncio.run(scenario())
+        c_fast, c_alice, c_alice_exact, c_default = outs
         ref = execute_tiled_reference(p.tc_plan, B)
         assert bits_equal(c_default, ref)
+        assert bits_equal(c_alice_exact, ref)  # request beats tenant pin
         assert np.array_equal(c_fast, c_alice)  # same tier, same plan
         assert np.allclose(c_fast, c_default, rtol=1e-2, atol=1e-2)
+        assert stats["tenants"]["alice"] == {
+            "requests": 2, "batched_requests": 0, "numerics": "fast",
+        }

@@ -30,7 +30,7 @@ from repro.serve.server import (
     csr_to_payload,
     payload_to_csr,
 )
-from repro.serve.sharded import AsyncSpMMEngine
+from repro.serve.aio import AsyncSpMMEngine
 from repro.sparse.convert import coo_to_csr
 from repro.sparse.random import erdos_renyi
 
@@ -106,10 +106,9 @@ async def run_connection(server, *request_frames, writer=None, eof=True):
 
 
 def make_server(**kw) -> SpMMServer:
-    engine_kw = {"n_shards": kw.pop("n_shards", 2), "capacity": 8}
     config = kw.pop("config", None) or ServerConfig(**kw.pop("cfg", {}))
     return SpMMServer(
-        engine=AsyncSpMMEngine(**engine_kw), config=config, **kw
+        engine=AsyncSpMMEngine(capacity=8), config=config, **kw
     )
 
 
@@ -474,9 +473,9 @@ class TestBatching:
                 )
                 for i in range(4)
             ]
-            while server.counters()["pending_batches"] < 1:
+            # window held open until all four requests have joined it
+            while server.counters()["pending_batch_requests"] < 4:
                 await asyncio.sleep(0.001)
-            # window still open: all four requests must have joined it
             gate.set()
             await asyncio.gather(*tasks)
             stats = server.engine.stats
@@ -614,7 +613,7 @@ class TestEngineDrain:
         csr = make_csr(21)
 
         async def main():
-            engine = AsyncSpMMEngine(n_shards=2, capacity=8)
+            engine = AsyncSpMMEngine(capacity=8)
             B = make_b(csr)
             started = asyncio.Event()
 
@@ -647,7 +646,7 @@ class TestEngineDrain:
 
     def test_drain_is_idempotent_and_instant_when_idle(self):
         async def main():
-            engine = AsyncSpMMEngine(n_shards=1)
+            engine = AsyncSpMMEngine()
             await asyncio.wait_for(engine.drain(), timeout=5)
             await asyncio.wait_for(engine.drain(), timeout=5)
             return engine
@@ -656,7 +655,7 @@ class TestEngineDrain:
         assert engine._pool._shutdown
 
     def test_close_rejects_new_submissions(self):
-        engine = AsyncSpMMEngine(n_shards=1)
+        engine = AsyncSpMMEngine()
         engine.close()
 
         async def main():

@@ -32,7 +32,7 @@ import pytest
 from repro.errors import ServerError
 from repro.serve.engine import SpMMEngine
 from repro.serve.server import ServerConfig, SpMMClient, SpMMServer
-from repro.serve.sharded import AsyncSpMMEngine
+from repro.serve.aio import AsyncSpMMEngine
 from repro.serve.store import PlanStore
 from repro.sparse.convert import coo_to_csr
 from repro.sparse.random import erdos_renyi
@@ -56,7 +56,7 @@ def live_server(engine_kw=None, **cfg_kw):
 
     async def serve():
         server = SpMMServer(
-            engine=AsyncSpMMEngine(**(engine_kw or {"n_shards": 2})),
+            engine=AsyncSpMMEngine(**(engine_kw or {})),
             config=ServerConfig(**cfg_kw),
         )
         box["server"] = server

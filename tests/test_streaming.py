@@ -14,10 +14,9 @@ Three families of behaviour, matching ``docs/STREAMING.md``:
   ``get``, are depth-bounded, compact during gc, and are never orphaned
   by base eviction;
 * **serving** — ``apply_delta`` on the engines derives/caches/persists
-  patched plans, the sharded router keeps delta lineages co-resident
-  with their base plan (including across warm starts), and the server's
-  ``delta`` endpoint patches plans over the wire with results identical
-  to shipping the edited matrix whole.
+  patched plans, a warm-started engine serves a whole delta chain as
+  cache hits, and the server's ``delta`` endpoint patches plans over the
+  wire with results identical to shipping the edited matrix whole.
 """
 
 from __future__ import annotations
@@ -38,8 +37,8 @@ from repro.serve import serial
 from repro.serve.cache import CacheStats, PlanCache
 from repro.serve.engine import SpMMEngine
 from repro.serve.fingerprint import fingerprint
+from repro.serve.aio import AsyncSpMMEngine
 from repro.serve.server import ServerConfig, SpMMClient, SpMMServer
-from repro.serve.sharded import AsyncSpMMEngine, ShardedSpMMEngine
 from repro.serve.store import PlanStore
 from repro.sparse.delta import GraphDelta
 
@@ -284,58 +283,27 @@ class TestEngineDelta:
         assert fp3.full == fingerprint(want.csr).full
         assert bits_equal(p3.multiply(B), want.multiply(B))
 
-
-class TestShardedLineage:
-    def test_delta_descendants_stay_on_the_base_shard(self):
-        eng = ShardedSpMMEngine(n_shards=4)
-        csr = random_csr(48, 48, seed=11)
-        B = make_b(csr, n=16)
-        eng.spmm(csr, B)
-        fp0 = fingerprint(csr)
-        home = eng.shard_index(fp0)
-        fp, plan_obj = fp0, None
-        for step in range(3):
-            fp, plan_obj = eng.apply_delta(
-                fp, added=[(step, step, 1.0 + step)]
-            )
-            assert eng.shard_index(fp) == home  # pinned, not hashed
-        # follow-up traffic on the leaf is a hit on the home shard
-        misses = eng.shards[home].stats["misses"]
-        C = eng.spmm(plan_obj.csr, B)
-        assert eng.shards[home].stats["misses"] == misses
-        assert bits_equal(C, plan_obj.multiply(B))
-
-    def test_clear_drops_lineage_pins(self):
-        eng = ShardedSpMMEngine(n_shards=4)
-        csr = random_csr(32, 32, seed=12)
-        eng.spmm(csr, make_b(csr, n=8))
-        fp, _ = eng.apply_delta(fingerprint(csr), added=[(0, 0, 1.0)])
-        eng.clear()
-        # back to pure hash routing
-        assert eng.shard_index(fp) == int(fp.structure[:8], 16) % 4
-
-    def test_warm_start_routes_chains_to_the_base_shard(self, tmp_path):
+    def test_warm_started_chain_serves_as_hits(self, tmp_path):
         store_root = tmp_path / "store"
-        eng = ShardedSpMMEngine(n_shards=4, store=store_root)
+        eng = SpMMEngine(store=PlanStore(root=store_root))
         csr = random_csr(48, 48, seed=13)
         B = make_b(csr, n=16)
         eng.spmm(csr, B)
         fp1, p1 = eng.apply_delta(fingerprint(csr), added=[(7, 7, 0.5)])
         fp2, p2 = eng.apply_delta(fp1, added=[(9, 1, 0.25)])
-        # a fresh engine fleet warm-starts the whole chain from disk
-        eng2 = ShardedSpMMEngine(n_shards=4, store=store_root)
+        # a fresh engine warm-starts the whole chain from disk
+        eng2 = SpMMEngine(store=PlanStore(root=store_root))
         assert eng2.warm_start() == 3
-        home = eng2.shard_index(fingerprint(csr))
-        for fp, want in ((fp1, p1), (fp2, p2)):
-            assert eng2.shard_index(fp) == home
-            misses = eng2.shards[home].stats["misses"]
+        for want in (p1, p2):
             C = eng2.spmm(want.csr, B)
-            assert eng2.shards[home].stats["misses"] == misses  # warm hit
             assert bits_equal(C, want.multiply(B))
+        s = eng2.stats
+        assert s["plans_built"] == 0 and s["misses"] == 0
+        assert s["hits"] == 2
 
     def test_async_facade_applies_deltas(self):
         async def run():
-            async with AsyncSpMMEngine(n_shards=2) as eng:
+            async with AsyncSpMMEngine() as eng:
                 csr = random_csr(32, 32, seed=14)
                 B = make_b(csr, n=8)
                 await eng.multiply(csr, B)
@@ -346,6 +314,7 @@ class TestShardedLineage:
                 C = await eng.multiply(new_plan.csr, B)
                 assert bits_equal(C, new_plan.multiply(B))
                 assert new_fp.full != fp.full
+                assert eng.stats["tenants"]["t0"]["requests"] == 1
 
         asyncio.run(run())
 
@@ -360,7 +329,7 @@ def live_server(**cfg_kw):
 
     async def serve():
         server = SpMMServer(
-            engine=AsyncSpMMEngine(n_shards=2),
+            engine=AsyncSpMMEngine(),
             config=ServerConfig(**cfg_kw),
         )
         box["server"] = server

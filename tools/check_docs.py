@@ -24,7 +24,7 @@ before this check):
 5. every public class/function/attribute named in the serving docs
    (``docs/SERVING.md``, ``docs/CONCURRENCY.md``) actually resolves via
    import — inline-code tokens such as ``repro.serve.store.PlanStore``
-   or ``ShardedSpMMEngine.warm_start`` are resolved module-by-module and
+   or ``SpMMEngine.warm_start`` are resolved module-by-module and
    attribute-by-attribute, catching the API drift the link checker
    cannot see.  Without numpy the check is skipped with a notice.
 
@@ -52,12 +52,12 @@ API_DOC_FILES = [
 API_NAMESPACES = [
     "repro",
     "repro.serve",
+    "repro.serve.aio",
     "repro.serve.cache",
     "repro.serve.engine",
     "repro.serve.frames",
     "repro.serve.serial",
     "repro.serve.server",
-    "repro.serve.sharded",
     "repro.serve.store",
     "repro.errors",
     "repro.backend",
